@@ -162,7 +162,7 @@ func TestFleetWeightedStepZeroAllocsWithProbes(t *testing.T) {
 	}
 }
 
-// TestFleetWideStepZeroAllocs pins the wide engine's batched Step at zero
+// TestFleetWideStepZeroAllocs pins the multi-word batched Step at zero
 // allocations in steady state — multi-word mask scans, the batched
 // matcher's counting buckets and the ByValue rings all run on storage
 // owned by the fleet.
@@ -175,7 +175,7 @@ func TestFleetWideStepZeroAllocs(t *testing.T) {
 			// live edge set; it is pinned at 16 ports by the narrow test.
 			continue
 		}
-		f, err := newWideCIOQFleet(cfg, mk, batch)
+		f, err := NewCIOQFleet(cfg, mk, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestFleetWideStepZeroAllocs(t *testing.T) {
 	xcfg := cfg
 	xcfg.CrossBuf = 2
 	for name, mk := range fleetCrossbarPolicies() {
-		f, err := newWideCrossbarFleet(xcfg, mk, batch)
+		f, err := NewCrossbarFleet(xcfg, mk, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,62 +2,11 @@ package fleet
 
 import (
 	"fmt"
-	"math/bits"
 
+	"qswitch/internal/bitset"
 	"qswitch/internal/matching"
-	"qswitch/internal/packet"
 	"qswitch/internal/switchsim"
 )
-
-// windowSlots is the lockstep quantum: one Step advances the global clock
-// by up to this many slots, each active instance simulating its share of
-// the window in one visit. Windowing is what makes the columnar layout
-// cache-dense at large batch sizes — an instance's working set (rings,
-// headers, masks, counters) is pulled into cache once per window instead
-// of once per slot, while the skew between instances stays bounded by the
-// window length. Results are independent of the window size; instances
-// never read each other's state.
-const windowSlots = 32
-
-// pkt is a queued packet: transmission value and arrival slot (the only
-// per-packet fields the unit-family policies and the metrics observe).
-// One 16-byte entry keeps every queue operation on a single cache line.
-type pkt struct {
-	v int64
-	a int32
-	_ int32
-}
-
-// qhdr is a queue ring header: position of the head element and current
-// length. Ring capacity is a per-fleet power of two.
-type qhdr struct {
-	head, n int32
-}
-
-// ports is the per-instance port-occupancy summary: single-word output
-// masks and layer counters, packed so a slot touches one cache line.
-type ports struct {
-	outFree, outBusy              uint64
-	inCount, crossCount, outCount int32
-	_                             int32
-}
-
-// hotCtr is the per-instance block of metric accumulators updated in the
-// per-slot loop, folded into switchsim.Metrics at retirement. The crossbar
-// fields stay zero for CIOQ fleets; the preempt fields stay zero for the
-// unit-value kernels, whose admission and transfers never evict.
-type hotCtr struct {
-	arrived, arrivedVal               int64
-	accepted, acceptedVal             int64
-	rejected, rejectedVal             int64
-	transferred, transferredCross     int64
-	sent, benefit                     int64
-	inOccup, crossOccup, outOccup     int64
-	sampled                           int64
-	preemptedIn, preemptedInVal       int64
-	preemptedCross, preemptedCrossVal int64
-	preemptedOut, preemptedOutVal     int64
-}
 
 // CIOQFleet is a batch of B independent CIOQ switch instances sharing one
 // configuration and one policy kernel, stepped in lockstep windows over a
@@ -65,154 +14,45 @@ type hotCtr struct {
 // documentation); storage is sized once at construction and reused across
 // Reset, so steady-state stepping never allocates.
 type CIOQFleet struct {
-	cfg    switchsim.Config
-	policy string
-	kern   cioqKernel
-	batch  int // storage capacity (construction batch size)
-	cur    int // instances loaded by the last Reset
-	n, m   int
-	nm     int
-	icap   int // input-queue ring size (power of two)
-	ocap   int // output-queue ring size (power of two)
-	inBuf  int32
-	outBuf int32
-	allIn  uint64 // mask of all n input ports
-
-	// passCount tallies pass-through deliveries (pend-buffer parks)
-	// across the fleet's lifetime; the runner diffs it around each batch
-	// to flush the fleet probes.
-	passCount int64
-
-	// Columnar switch state: per-instance blocks inside flat arrays.
-	voq      []uint64 // [k*n+i]: outputs j with IQ(k,i,j) non-empty
-	voqByOut []uint64 // [k*m+j]: inputs i with IQ(k,i,j) non-empty
-	st       []ports  // [k]
-	iq       []pkt    // [(k*nm + i*m + j)*icap + pos]
-	iqHdr    []qhdr   // [k*nm + i*m + j]
-	oq       []pkt    // [(k*m + j)*ocap + pos]
-	oqHdr    []qhdr   // [k*m + j]
-	hot      []hotCtr // [k]
-
-	// ID lanes, allocated only for weighted kernels: the ByValue queue
-	// discipline breaks value ties on packet ID, so weighted rings carry
-	// the ID alongside the pkt payload (same indexing as iq/oq).
-	iqID []int64
-	oqID []int64
-
-	// iqHV caches each input ring's head value ([k*nm + q], weighted
-	// kernels only): the schedulers scan every occupied VOQ head per
-	// cycle, and the flat lane replaces the dependent header+ring load
-	// pair on that path. Entries are refreshed wherever the ring head
-	// changes and are read only under a set voq bit.
-	iqHV []int64
-
-	ms      []switchsim.Metrics
-	series  [][]int64
-	results []*switchsim.Result
-
-	seqs    []packet.Sequence
-	next    []int
-	horizon []int
-	at      []int // per-instance next slot to simulate
-
-	// Lockstep scheduling state.
-	active []int32
-	sleep  []sleeper
-	slot   int // current window start
-	live   int
-	err    error
-
+	engine
+	kern cioqKernel
 	view cioqView
 
 	// Kernel state and scratch.
-	rrGrant  []int32 // [k*m+j]: RoundRobin per-output grant pointer
-	rrAccept []int32 // [k*n+i]: RoundRobin per-input accept pointer
-	grants   []uint64
+	rrGrant  []int32     // [k*m+j]: RoundRobin per-output grant pointer
+	rrAccept []int32     // [k*n+i]: RoundRobin per-input accept pointer
+	grants   bitset.Mask // [i*wm + w]: one cycle's RoundRobin grant rows
+	availIn  bitset.Mask // [wn]: one cycle's unmatched inputs
+	availOut bitset.Mask // [wm]: one cycle's unmatched outputs
 	edges    []matching.Edge
 	sched    matching.WeightedScheduler
 	hung     matching.HungarianSolver
-	wkeys    []uint32 // packed (w<<12|i<<6|j) eligible edges, (i,j)-ascending
+	wkeys    []uint32 // packed (w<<18|i<<9|j) eligible edges, (i,j)-ascending
 	wsorted  []uint32 // counting-scatter output, weight-descending
 	wcnt     []int32  // per-weight bucket counts/offsets
 	wcntHi   int32    // dirty prefix of wcnt to clear next cycle
+	tails    []tail   // [m]: one cycle's full-output tails
 }
 
-// cioqView is the per-instance working set bound once per window: small
-// slices over the instance's blocks plus copies of the loop constants, so
-// the slot body and the kernels index tiny slices instead of recomputing
-// global offsets per operation.
+// tail is a full output queue's least valuable packet value and its beta
+// multiple, hoisted once per PG cycle out of the eligibility tests.
+type tail struct {
+	v int64
+	b float64
+}
+
+// cioqView is the CIOQ per-instance view: the shared view plus the
+// RoundRobin pointer lanes.
 type cioqView struct {
+	view
 	f        *CIOQFleet
-	k        int
-	st       *ports
-	hm       *hotCtr
-	lat      *switchsim.Metrics
-	voq      []uint64
-	voqByOut []uint64
-	iqHdr    []qhdr
-	iq       []pkt
-	oqHdr    []qhdr
-	oq       []pkt
-	series   []int64
 	rrG, rrA []int32
-	iqHV     []int64
-
-	n, m, nm       int
-	icapM, ocapM   int32 // ring index masks (capacity-1)
-	icap, ocap     int
-	inBuf, outBuf  int32
-	speedup        int
-	recLat, recSer bool
-	wantByOut      bool // kernel reads voqByOut; maintain it
-	weighted       bool // ByValue rings with ID lanes and preemption
-	allIn          uint64
-
-	// ID lanes (weighted kernels only); same indexing as iq/oq.
-	iqID []int64
-	oqID []int64
-
-	// Direct pass-through delivery: a packet transferred into an empty
-	// output queue is necessarily that slot's transmit head, so its
-	// payload parks in pend[j] (direct bit set) instead of doing a ring
-	// store/load round-trip; the header still advances as if it had been
-	// written, keeping ring geometry consistent at any speedup. Weighted
-	// kernels never use it: a ByValue insertion can land anywhere in the
-	// ring, so their transfers always do the ring store.
-	direct uint64
-	pend   []pkt
-}
-
-// bind points the view at instance k.
-func (v *cioqView) bind(f *CIOQFleet, k int) {
-	v.f = f
-	v.k = k
-	v.st = &f.st[k]
-	v.hm = &f.hot[k]
-	v.lat = &f.ms[k]
-	v.voq = f.voq[k*f.n : (k+1)*f.n]
-	v.voqByOut = f.voqByOut[k*f.m : (k+1)*f.m]
-	v.iqHdr = f.iqHdr[k*f.nm : (k+1)*f.nm]
-	v.iq = f.iq[k*f.nm*f.icap : (k+1)*f.nm*f.icap]
-	v.oqHdr = f.oqHdr[k*f.m : (k+1)*f.m]
-	v.oq = f.oq[k*f.m*f.ocap : (k+1)*f.m*f.ocap]
-	if f.cfg.RecordSeries {
-		v.series = f.series[k]
-	}
-	if f.rrGrant != nil {
-		v.rrG = f.rrGrant[k*f.m : (k+1)*f.m]
-		v.rrA = f.rrAccept[k*f.n : (k+1)*f.n]
-	}
-	if f.iqID != nil {
-		v.iqID = f.iqID[k*f.nm*f.icap : (k+1)*f.nm*f.icap]
-		v.oqID = f.oqID[k*f.m*f.ocap : (k+1)*f.m*f.ocap]
-		v.iqHV = f.iqHV[k*f.nm : (k+1)*f.nm]
-	}
 }
 
 // NewCIOQFleet sizes a fleet of `batch` instances for the configuration
 // and policy family produced by factory. It returns ErrUnsupported
 // (possibly wrapped) when the policy has no batched kernel or the
-// geometry exceeds the columnar engine's 64-port limit; callers wanting
+// geometry exceeds the columnar engine's 512-port limit; callers wanting
 // transparent fallback use RunCIOQ instead.
 func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, batch int) (*CIOQFleet, error) {
 	if err := cfg.Check(false); err != nil {
@@ -229,351 +69,46 @@ func NewCIOQFleet(cfg switchsim.Config, factory func() switchsim.CIOQPolicy, bat
 	if cfg.Inputs > maxPorts || cfg.Outputs > maxPorts {
 		return nil, fmt.Errorf("fleet: geometry %dx%d exceeds %d ports: %w", cfg.Inputs, cfg.Outputs, maxPorts, ErrUnsupported)
 	}
-	n, m := cfg.Inputs, cfg.Outputs
-	f := &CIOQFleet{
-		cfg: cfg, policy: pol.Name(), kern: kern, batch: batch, cur: batch,
-		n: n, m: m, nm: n * m,
-		icap: ceilPow2(cfg.InputBuf), ocap: ceilPow2(cfg.OutputBuf),
-		inBuf: int32(cfg.InputBuf), outBuf: int32(cfg.OutputBuf),
-		allIn: allOnes(n),
-	}
-	f.voq = make([]uint64, batch*n)
-	f.voqByOut = make([]uint64, batch*m)
-	f.st = make([]ports, batch)
-	f.iq = make([]pkt, batch*f.nm*f.icap)
-	f.iqHdr = make([]qhdr, batch*f.nm)
-	f.oq = make([]pkt, batch*m*f.ocap)
-	f.oqHdr = make([]qhdr, batch*m)
-	f.hot = make([]hotCtr, batch)
-	f.ms = make([]switchsim.Metrics, batch)
-	f.series = make([][]int64, batch)
-	f.results = make([]*switchsim.Result, batch)
-	f.next = make([]int, batch)
-	f.horizon = make([]int, batch)
-	f.at = make([]int, batch)
-	f.active = make([]int32, 0, batch)
-	f.sleep = make([]sleeper, 0, batch)
-	v := &f.view
-	v.n, v.m, v.nm = n, m, f.nm
-	v.icap, v.ocap = f.icap, f.ocap
-	v.icapM, v.ocapM = int32(f.icap-1), int32(f.ocap-1)
-	v.inBuf, v.outBuf = f.inBuf, f.outBuf
-	v.speedup = cfg.Speedup
-	v.recLat, v.recSer = cfg.RecordLatency, cfg.RecordSeries
-	v.wantByOut = kern.wantsVOQByOut() || cfg.Validate
-	v.allIn = f.allIn
-	v.pend = make([]pkt, m)
-	if kern.weighted() {
-		v.weighted = true
-		f.iqID = make([]int64, batch*f.nm*f.icap)
-		f.oqID = make([]int64, batch*m*f.ocap)
-		f.iqHV = make([]int64, batch*f.nm)
-	}
+	f := &CIOQFleet{kern: kern}
+	f.init(cfg, pol.Name(), batch, f, &f.view.view, kern.weighted())
+	f.voqByOut = make([]uint64, batch*f.m*f.wn)
+	f.availIn = make(bitset.Mask, f.wn)
+	f.availOut = make(bitset.Mask, f.wm)
+	f.view.f = f
+	f.view.wantByOut = kern.wantsVOQByOut() || cfg.Validate
 	kern.reset(f)
 	return f, nil
 }
 
-// Policy returns the name of the batched policy family.
-func (f *CIOQFleet) Policy() string { return f.policy }
+// resetLanes rewinds the kernel state; the shared lanes (including
+// voqByOut) are the engine's.
+func (f *CIOQFleet) resetLanes() { f.kern.reset(f) }
 
-// Reset loads a new batch of arrival sequences (one per instance; the
-// slice length may be anything up to the construction batch size, so one
-// fleet serves a chunk stream whose final chunk runs short) and rewinds
-// every loaded instance to slot 0. Switch storage is reused.
-//
-// Sequences are validated lazily rather than with an up-front pass: port
-// and value violations surface as errors when the packet is admitted, and
-// an unsorted sequence is detected at the instance's retirement (see
-// checkResidual). ID monotonicity — which the FIFO unit-value family
-// never observes — is the caller's responsibility, as with every
-// generator-produced sequence.
-func (f *CIOQFleet) Reset(seqs []packet.Sequence) error {
-	if len(seqs) < 1 || len(seqs) > f.batch {
-		return fmt.Errorf("fleet: got %d sequences for a batch of %d", len(seqs), f.batch)
+func (f *CIOQFleet) bindLanes(k int) {
+	if f.rrGrant != nil {
+		f.view.rrG = f.rrGrant[k*f.m : (k+1)*f.m]
+		f.view.rrA = f.rrAccept[k*f.n : (k+1)*f.n]
 	}
-	f.cur = len(seqs)
-	clear(f.voq)
-	clear(f.voqByOut)
-	clear(f.iqHdr)
-	clear(f.oqHdr)
-	for k := range f.st {
-		f.st[k] = ports{outFree: allOnes(f.m)}
-		f.hot[k] = hotCtr{}
+}
+
+func (f *CIOQFleet) schedule(slot int) {
+	for c := 0; c < f.cfg.Speedup; c++ {
+		f.kern.cycle(&f.view, slot, c)
 	}
-	f.seqs = seqs
-	f.active = f.active[:0]
-	f.sleep = f.sleep[:0]
-	f.slot = 0
-	f.live = f.cur
-	f.err = nil
-	f.view.direct = 0
-	for k := 0; k < f.cur; k++ {
-		f.ms[k] = switchsim.Metrics{}
-		if f.cfg.RecordLatency && f.cfg.StreamMetrics {
-			f.ms[k].EnableLatencySketch()
+}
+
+// checkLanes cross-checks the transposed occupancy rows.
+func (f *CIOQFleet) checkLanes(k, T int) error {
+	for j := 0; j < f.m; j++ {
+		col := bitset.Mask(f.voqByOut[(k*f.m+j)*f.wn : (k*f.m+j+1)*f.wn])
+		for i := 0; i < f.n; i++ {
+			l := f.iqHdr[k*f.nm+i*f.m+j].n
+			if got, want := col.Test(i), l > 0; got != want {
+				return fmt.Errorf("fleet: slot %d instance %d: VOQByOut[%d] bit %d = %v, len=%d", T, k, j, i, got, l)
+			}
 		}
-		f.results[k] = nil
-		f.next[k] = 0
-		f.at[k] = 0
-		f.horizon[k] = f.cfg.HorizonFor(seqs[k])
-		if f.cfg.RecordSeries {
-			f.series[k] = make([]int64, f.horizon[k])
-		} else {
-			f.series[k] = nil
-		}
-		f.active = append(f.active, int32(k))
 	}
-	// Drop any tail a previous larger batch left behind, so a runner
-	// idling on a short final chunk does not pin old Results and their
-	// latency/series storage.
-	for k := f.cur; k < f.batch; k++ {
-		f.ms[k] = switchsim.Metrics{}
-		f.results[k] = nil
-		f.series[k] = nil
-	}
-	f.kern.reset(f)
 	return nil
-}
-
-// Step advances the global clock by one window (up to windowSlots slots),
-// simulating every active instance's share of the window and waking
-// sleepers due within it. It returns false once all instances have
-// retired or an error is pending; see Results.
-func (f *CIOQFleet) Step() bool {
-	if f.err != nil || f.live == 0 {
-		return false
-	}
-	if len(f.active) == 0 {
-		// Everyone sleeps: jump the clock to the earliest wake.
-		f.slot = f.sleep[0].wake
-	}
-	end := f.slot + windowSlots
-	for len(f.sleep) > 0 && f.sleep[0].wake < end {
-		var s sleeper
-		f.sleep, s = sleepPop(f.sleep)
-		f.at[s.k] = s.wake
-		f.active = append(f.active, s.k)
-	}
-	for idx := 0; idx < len(f.active); idx++ {
-		k := f.active[idx]
-		switch f.runWindow(k, end) {
-		case instActive:
-		case instErr:
-			return false
-		default: // instSleep, instRetired: swap-remove from the dense set
-			last := len(f.active) - 1
-			f.active[idx] = f.active[last]
-			f.active = f.active[:last]
-			idx--
-		}
-	}
-	f.slot = end
-	return f.live > 0 && f.err == nil
-}
-
-type instStatus int
-
-const (
-	instActive instStatus = iota
-	instSleep
-	instRetired
-	instErr
-)
-
-// runWindow simulates instance k from its current slot up to the window
-// end: admissions, Speedup kernel cycles, transmission, occupancy
-// sampling and the quiescent fast path, slot by slot, on the bound view.
-func (f *CIOQFleet) runWindow(k int32, end int) instStatus {
-	kk := int(k)
-	v := &f.view
-	v.bind(f, kk)
-	seq := f.seqs[kk]
-	nx := f.next[kk]
-	horizon := f.horizon[kk]
-	st := v.st
-	hm := v.hm
-	T := f.at[kk]
-	// Window-local metric accumulators: the per-packet counters are
-	// register adds here and a single flush into hm at every exit (all
-	// Metrics fields are sums, so accumulation order is free).
-	var aArr, aArrV, aAcc, aAccV, aRej, aRejV, aPre, aPreV, tSent, tBen, oIn, oOut, oSamp int64
-	flush := func() {
-		hm.arrived += aArr
-		hm.arrivedVal += aArrV
-		hm.accepted += aAcc
-		hm.acceptedVal += aAccV
-		hm.rejected += aRej
-		hm.rejectedVal += aRejV
-		hm.preemptedIn += aPre
-		hm.preemptedInVal += aPreV
-		hm.sent += tSent
-		hm.benefit += tBen
-		hm.inOccup += oIn
-		hm.outOccup += oOut
-		hm.sampled += oSamp
-	}
-	for {
-		// Admissions: the unit families accept iff the target queue has
-		// room; the weighted (ByValue) families additionally preempt the
-		// queue's least valuable packet when it is full and strictly worse
-		// (queue.Ring.PushPreempt semantics — occupancy is unchanged by a
-		// preempting admission, so the index bits stay put).
-		for nx < len(seq) && seq[nx].Arrival == T {
-			p := &seq[nx]
-			nx++
-			if uint(p.In) >= uint(v.n) || uint(p.Out) >= uint(v.m) || p.Value < 1 {
-				f.err = fmt.Errorf("fleet: instance %d: bad packet %v", kk, *p)
-				return instErr
-			}
-			aArr++
-			aArrV += p.Value
-			q := p.In*v.m + p.Out
-			h := &v.iqHdr[q]
-			if v.weighted {
-				pre := false
-				var preV int64
-				if h.n >= v.inBuf {
-					ti := q*v.icap + int((h.head+h.n-1)&v.icapM)
-					tv := v.iq[ti].v
-					if tv >= p.Value {
-						aRej++
-						aRejV += p.Value
-						continue
-					}
-					h.n--
-					pre, preV = true, tv
-				}
-				// Shallow rings make depths 0/1 the common insert cases;
-				// both are inlined here and yield the new head value
-				// without reloading the ring.
-				np := pkt{v: p.Value, a: int32(p.Arrival)}
-				switch h.n {
-				case 0:
-					ringInsert0(v.iq, v.iqID, h, q*v.icap, np, p.ID)
-					v.iqHV[q] = np.v
-				case 1:
-					b := q * v.icap
-					v.iqHV[q] = ringInsert1(v.iq[b:], v.iqID[b:], h, v.icapM, np, p.ID)
-				default:
-					v.iqInsert(q, np, p.ID)
-					v.iqHV[q] = v.iq[q*v.icap+int(h.head)].v
-				}
-				if pre {
-					aAcc++
-					aAccV += p.Value
-					aPre++
-					aPreV += preV
-					continue
-				}
-			} else {
-				if h.n >= v.inBuf {
-					aRej++
-					aRejV += p.Value
-					continue
-				}
-				v.iq[q*v.icap+int((h.head+h.n)&v.icapM)] = pkt{v: p.Value, a: int32(p.Arrival)}
-				h.n++
-			}
-			v.voq[p.In] |= 1 << uint(p.Out)
-			if v.wantByOut {
-				v.voqByOut[p.Out] |= 1 << uint(p.In)
-			}
-			st.inCount++
-			aAcc++
-			aAccV += p.Value
-		}
-
-		for c := 0; c < v.speedup; c++ {
-			f.kern.cycle(v, T, c)
-		}
-		if f.err != nil {
-			// A weighted transfer hit an ineligible full destination (only
-			// possible with a sub-1 user beta, where the scalar engine
-			// errors identically).
-			return instErr
-		}
-
-		// Transmission: every non-empty output queue sends its head.
-		w := st.outBusy
-		for w != 0 {
-			j := bits.TrailingZeros64(w)
-			w &= w - 1
-			h := &v.oqHdr[j]
-			var p pkt
-			if v.direct&(1<<uint(j)) != 0 {
-				p = v.pend[j]
-				v.direct &^= 1 << uint(j)
-			} else {
-				p = v.oq[j*v.ocap+int(h.head)]
-			}
-			h.head = (h.head + 1) & v.ocapM
-			h.n--
-			st.outCount--
-			st.outFree |= 1 << uint(j)
-			if h.n == 0 {
-				st.outBusy &^= 1 << uint(j)
-			}
-			tSent++
-			tBen += p.v
-			if v.recLat {
-				v.lat.RecordLatency(T - int(p.a))
-			}
-			if v.recSer {
-				v.series[T] += p.v
-			}
-		}
-
-		oIn += int64(st.inCount)
-		oOut += int64(st.outCount)
-		oSamp++
-
-		if f.cfg.Validate {
-			if err := f.validate(kk, T); err != nil {
-				f.err = err
-				return instErr
-			}
-		}
-
-		// Quiescent fast path: with no input-side packets no kernel cycle
-		// can produce a transfer, so the stretch until the next arrival is
-		// pure output drain advanced in closed form. The ported kernels'
-		// only slot-dependent state is derived from the clock (see
-		// kernels.go), so no per-policy idle hook is needed.
-		if !f.cfg.Dense && st.inCount == 0 {
-			to := horizon
-			if nx < len(seq) && seq[nx].Arrival < to {
-				to = seq[nx].Arrival
-			}
-			if jump := to - (T + 1); jump > 0 {
-				v.quiesce(T, jump)
-				if f.cfg.Validate {
-					if err := f.validate(kk, T+jump); err != nil {
-						f.err = fmt.Errorf("after quiescent jump: %w", err)
-						return instErr
-					}
-				}
-				T += jump
-			}
-		}
-		T++
-		if T >= horizon {
-			flush()
-			f.next[kk] = nx
-			return f.retire(k)
-		}
-		if T >= end {
-			flush()
-			f.next[kk] = nx
-			f.at[kk] = T
-			if T > end {
-				// A quiescent jump crossed the window boundary: nothing
-				// happens until slot T, so skip the windows in between.
-				f.sleep = sleepPush(f.sleep, sleeper{wake: T, k: k})
-				return instSleep
-			}
-			return instActive
-		}
-	}
 }
 
 // transfer moves the head packet of IQ(i,j) to OQ(j) on the bound
@@ -587,9 +122,9 @@ func (v *cioqView) transfer(i, j int) {
 	h.head = (h.head + 1) & v.icapM
 	h.n--
 	if h.n == 0 {
-		v.voq[i] &^= 1 << uint(j)
+		clearBit(v.voq, v.wm, i, j)
 		if v.wantByOut {
-			v.voqByOut[j] &^= 1 << uint(i)
+			clearBit(v.voqByOut, v.wn, j, i)
 		}
 	}
 	ho := &v.oqHdr[j]
@@ -597,132 +132,26 @@ func (v *cioqView) transfer(i, j int) {
 		// Empty destination: the packet is this slot's transmit head, so
 		// park it in the pass-through buffer instead of the ring.
 		v.pend[j] = p
-		v.direct |= 1 << uint(j)
-		v.f.passCount++
+		v.direct.Set(j)
+		v.passCount++
 	} else {
 		v.oq[j*v.ocap+int((ho.head+ho.n)&v.ocapM)] = p
 	}
 	ho.n++
+	v.outBusy.Set(j)
+	if ho.n >= v.outBuf {
+		v.outFree.Clear(j)
+	}
 	st := v.st
 	st.inCount--
-	st.outBusy |= 1 << uint(j)
-	if ho.n >= v.outBuf {
-		st.outFree &^= 1 << uint(j)
-	}
 	st.outCount++
 	v.hm.transferred++
-}
-
-// ringInsert0 is the depth-0 ringInsert special case, small enough to
-// inline at the transfer sites where an empty destination ring is the
-// common case (the new packet is trivially the head).
-func ringInsert0(buf []pkt, ids []int64, h *qhdr, base int, p pkt, id int64) {
-	x := base + int(h.head)
-	buf[x] = p
-	ids[x] = id
-	h.n = 1
-}
-
-// ringInsert1 is the depth-1 ringInsert special case (buf/ids already
-// sliced at the ring base), inlined at the
-// admission sites (shallow input rings make depth 1 the common case
-// there). It reports the new head value so weighted callers can refresh
-// their head-value lane without reloading the ring.
-func ringInsert1(buf []pkt, ids []int64, h *qhdr, capM int32, p pkt, id int64) int64 {
-	x0 := int(h.head)
-	hv := buf[x0].v
-	off := int32(1)
-	if hv < p.v || (hv == p.v && ids[x0] >= id) {
-		h.head = (h.head - 1) & capM
-		off = 0
-		hv = p.v
-	}
-	x := int((h.head + off) & capM)
-	buf[x] = p
-	ids[x] = id
-	h.n = 2
-	return hv
-}
-
-// ringInsert places (p, id) into the ByValue ring at base..base+cap-1
-// keeping (value desc, ID asc) order, reproducing queue.Ring.insert: a
-// binary search finds the slot, then the shorter side of the ring shifts
-// by one to open it. The header must have room (h.n < capacity).
-func ringInsert(buf []pkt, ids []int64, h *qhdr, base int, capM int32, p pkt, id int64) {
-	n := h.n
-	// Weighted rings are shallow in practice (buffer depths of a few
-	// packets), so the depth-0/1 cases skip the search-and-shift
-	// machinery. Both leave the same head-relative contents as the
-	// general path.
-	if n == 0 {
-		x := base + int(h.head)
-		buf[x] = p
-		ids[x] = id
-		h.n = 1
-		return
-	}
-	if n == 1 {
-		x0 := base + int(h.head)
-		var x int
-		if bv := buf[x0].v; bv > p.v || (bv == p.v && ids[x0] < id) {
-			x = base + int((h.head+1)&capM)
-		} else {
-			h.head = (h.head - 1) & capM
-			x = base + int(h.head)
-		}
-		buf[x] = p
-		ids[x] = id
-		h.n = 2
-		return
-	}
-	lo, hi := int32(0), n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		x := base + int((h.head+mid)&capM)
-		if bv := buf[x].v; bv > p.v || (bv == p.v && ids[x] < id) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo <= n-lo {
-		// Shift the head segment [0, lo) one slot back.
-		h.head = (h.head - 1) & capM
-		for k := int32(0); k < lo; k++ {
-			dst := base + int((h.head+k)&capM)
-			src := base + int((h.head+k+1)&capM)
-			buf[dst] = buf[src]
-			ids[dst] = ids[src]
-		}
-	} else {
-		// Shift the tail segment [lo, n) one slot forward.
-		for k := n; k > lo; k-- {
-			dst := base + int((h.head+k)&capM)
-			src := base + int((h.head+k-1)&capM)
-			buf[dst] = buf[src]
-			ids[dst] = ids[src]
-		}
-	}
-	x := base + int((h.head+lo)&capM)
-	buf[x] = p
-	ids[x] = id
-	h.n++
-}
-
-// iqInsert is ringInsert on input ring q of the bound instance. Weighted
-// callers must refresh the iqHV head-value lane afterwards.
-func (v *cioqView) iqInsert(q int, p pkt, id int64) {
-	ringInsert(v.iq, v.iqID, &v.iqHdr[q], q*v.icap, v.icapM, p, id)
 }
 
 // wtransfer moves the most valuable packet of IQ(i,j) — the ByValue ring
 // head — into output queue j on the bound instance, preempting the
 // output's least valuable packet when it is full, exactly as the scalar
-// engine's executeTransfers does with PreemptIfFull set. Kernels only
-// produce transfers the eligibility rule admits, which with beta >= 1
-// guarantees the preemption is profitable; a sub-1 beta can produce an
-// unprofitable transfer, which errors here as it does in the scalar
-// engine.
+// engine's executeTransfers does with PreemptIfFull set.
 func (v *cioqView) wtransfer(i, j int) {
 	q := i*v.m + j
 	h := &v.iqHdr[q]
@@ -732,9 +161,9 @@ func (v *cioqView) wtransfer(i, j int) {
 	h.head = (h.head + 1) & v.icapM
 	h.n--
 	if h.n == 0 {
-		v.voq[i] &^= 1 << uint(j)
+		clearBit(v.voq, v.wm, i, j)
 		if v.wantByOut {
-			v.voqByOut[j] &^= 1 << uint(i)
+			clearBit(v.voqByOut, v.wn, j, i)
 		}
 	} else {
 		v.iqHV[q] = v.iq[q*v.icap+int(h.head)].v
@@ -744,17 +173,22 @@ func (v *cioqView) wtransfer(i, j int) {
 	ho := &v.oqHdr[j]
 	base := j * v.ocap
 	if ho.n >= v.outBuf {
+		// Full destination: preempt its least valuable packet. Kernels
+		// only produce transfers the eligibility rule admits, which with
+		// beta >= 1 guarantees the preemption is profitable; a sub-1 beta
+		// can produce an unprofitable transfer, which errors here as it
+		// does in the scalar engine.
 		ti := base + int((ho.head+ho.n-1)&v.ocapM)
 		tv := v.oq[ti].v
 		if tv >= p.v {
-			v.f.err = fmt.Errorf("fleet: transfer %d->%d of value %d rejected by full OQ (tail %d not worse)", i, j, p.v, tv)
+			v.e.err = fmt.Errorf("fleet: transfer %d->%d of value %d rejected by full OQ (tail %d not worse)", i, j, p.v, tv)
 			return
 		}
 		ho.n--
 		v.hm.preemptedOut++
 		v.hm.preemptedOutVal += tv
 	} else {
-		st.outBusy |= 1 << uint(j)
+		v.outBusy.Set(j)
 		st.outCount++
 	}
 	if ho.n == 0 {
@@ -765,156 +199,7 @@ func (v *cioqView) wtransfer(i, j int) {
 	// A preempting insert leaves the queue full; re-clearing the bit is
 	// idempotent, so the fullness check is shared by both branches.
 	if ho.n >= v.outBuf {
-		st.outFree &^= 1 << uint(j)
+		v.outFree.Clear(j)
 	}
 	v.hm.transferred++
 }
-
-// quiesce advances the bound instance across `jump` arrival-free
-// drain-only slots in closed form, mirroring (*switchsim.CIOQ).quiesce:
-// each non-empty output queue transmits one head packet per slot until it
-// empties, and the occupancy integral gains Σ_{x=1..min(jump,L)} (L-x)
-// per queue.
-func (v *cioqView) quiesce(T, jump int) {
-	st := v.st
-	hm := v.hm
-	w := st.outBusy
-	for w != 0 {
-		j := bits.TrailingZeros64(w)
-		w &= w - 1
-		h := &v.oqHdr[j]
-		l := int(h.n)
-		d := min(l, jump)
-		for x := 1; x <= d; x++ {
-			p := v.oq[j*v.ocap+int(h.head)]
-			h.head = (h.head + 1) & v.ocapM
-			h.n--
-			hm.sent++
-			hm.benefit += p.v
-			if v.recLat {
-				v.lat.RecordLatency(T + x - int(p.a))
-			}
-			if v.recSer {
-				v.series[T+x] += p.v
-			}
-		}
-		st.outCount -= int32(d)
-		hm.outOccup += int64(d)*int64(l) - int64(d)*int64(d+1)/2
-		if h.n == 0 {
-			st.outBusy &^= 1 << uint(j)
-		}
-	}
-	hm.sampled += int64(jump)
-}
-
-// retire folds instance k's metric accumulators into its Metrics and
-// records the final Result.
-func (f *CIOQFleet) retire(k int32) instStatus {
-	if err := checkResidual(int(k), f.seqs[k], f.next[k], f.horizon[k]); err != nil {
-		f.err = err
-		return instErr
-	}
-	hm := &f.hot[k]
-	m := &f.ms[k]
-	m.Arrived, m.ArrivedValue = hm.arrived, hm.arrivedVal
-	m.Accepted, m.AcceptedValue = hm.accepted, hm.acceptedVal
-	m.Rejected, m.RejectedValue = hm.rejected, hm.rejectedVal
-	m.Transferred = hm.transferred
-	m.Sent, m.Benefit = hm.sent, hm.benefit
-	m.PreemptedInput, m.PreemptedInputValue = hm.preemptedIn, hm.preemptedInVal
-	m.PreemptedOutput, m.PreemptedOutputValue = hm.preemptedOut, hm.preemptedOutVal
-	m.InputOccupSum, m.OutputOccupSum = hm.inOccup, hm.outOccup
-	m.AddSlotSamples(hm.sampled)
-	if f.cfg.RecordSeries {
-		m.SlotBenefit = f.series[k]
-	}
-	if f.cfg.Validate {
-		residual := int64(f.st[k].inCount) + int64(f.st[k].outCount)
-		preempted := m.PreemptedInput + m.PreemptedOutput
-		if m.Accepted != m.Sent+preempted+residual {
-			f.err = fmt.Errorf("fleet: instance %d: conservation violated: accepted=%d sent=%d preempted=%d residual=%d",
-				k, m.Accepted, m.Sent, preempted, residual)
-			return instErr
-		}
-	}
-	f.results[k] = &switchsim.Result{Policy: f.policy, Cfg: f.cfg, Slots: f.horizon[k], M: *m}
-	f.live--
-	return instRetired
-}
-
-// validate cross-checks instance k's occupancy index and counters against
-// the ring contents (full rescan; Validate mode only).
-func (f *CIOQFleet) validate(k, T int) error {
-	var in, out int32
-	st := &f.st[k]
-	for i := 0; i < f.n; i++ {
-		row := f.voq[k*f.n+i]
-		for j := 0; j < f.m; j++ {
-			l := f.iqHdr[k*f.nm+i*f.m+j].n
-			in += l
-			if l < 0 || l > f.inBuf {
-				return fmt.Errorf("fleet: slot %d instance %d: IQ[%d][%d] length %d out of range", T, k, i, j, l)
-			}
-			if got, want := row&(1<<uint(j)) != 0, l > 0; got != want {
-				return fmt.Errorf("fleet: slot %d instance %d: VOQ[%d] bit %d = %v, len=%d", T, k, i, j, got, l)
-			}
-			if got, want := f.voqByOut[k*f.m+j]&(1<<uint(i)) != 0, l > 0; got != want {
-				return fmt.Errorf("fleet: slot %d instance %d: VOQByOut[%d] bit %d = %v, len=%d", T, k, j, i, got, l)
-			}
-			if f.iqID != nil && !ringOrdered(f.iq, f.iqID, f.iqHdr[k*f.nm+i*f.m+j], (k*f.nm+i*f.m+j)*f.icap, int32(f.icap-1)) {
-				return fmt.Errorf("fleet: slot %d instance %d: IQ[%d][%d] not in ByValue order", T, k, i, j)
-			}
-		}
-	}
-	for j := 0; j < f.m; j++ {
-		l := f.oqHdr[k*f.m+j].n
-		out += l
-		if l < 0 || l > f.outBuf {
-			return fmt.Errorf("fleet: slot %d instance %d: OQ[%d] length %d out of range", T, k, j, l)
-		}
-		if f.oqID != nil && !ringOrdered(f.oq, f.oqID, f.oqHdr[k*f.m+j], (k*f.m+j)*f.ocap, int32(f.ocap-1)) {
-			return fmt.Errorf("fleet: slot %d instance %d: OQ[%d] not in ByValue order", T, k, j)
-		}
-		if got, want := st.outFree&(1<<uint(j)) != 0, l < f.outBuf; got != want {
-			return fmt.Errorf("fleet: slot %d instance %d: OutFree bit %d = %v, len=%d", T, k, j, got, l)
-		}
-		if got, want := st.outBusy&(1<<uint(j)) != 0, l > 0; got != want {
-			return fmt.Errorf("fleet: slot %d instance %d: OutBusy bit %d = %v, len=%d", T, k, j, got, l)
-		}
-	}
-	if in != st.inCount || out != st.outCount {
-		return fmt.Errorf("fleet: slot %d instance %d: counters (in=%d,out=%d) but queues hold (%d,%d)",
-			T, k, st.inCount, st.outCount, in, out)
-	}
-	return nil
-}
-
-// ringOrdered reports whether the ring segment holds ByValue order
-// (value descending, ties by ascending ID) from head to tail.
-func ringOrdered(buf []pkt, ids []int64, h qhdr, base int, capM int32) bool {
-	for x := int32(1); x < h.n; x++ {
-		a := base + int((h.head+x-1)&capM)
-		b := base + int((h.head+x)&capM)
-		if buf[a].v < buf[b].v || (buf[a].v == buf[b].v && ids[a] >= ids[b]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Results returns one Result per loaded instance (in input order) once
-// every instance has retired. It errors if the fleet is still running or a
-// stepping error is pending. The backing array is reused by the next
-// Reset, so callers keeping Results across batches must copy.
-func (f *CIOQFleet) Results() ([]*switchsim.Result, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
-	if f.live > 0 {
-		return nil, fmt.Errorf("fleet: %d instances still live", f.live)
-	}
-	return f.results[:f.cur], nil
-}
-
-func (f *CIOQFleet) batchCap() int { return f.batch }
-func (f *CIOQFleet) passes() int64 { return f.passCount }

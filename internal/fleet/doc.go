@@ -11,8 +11,10 @@
 //
 // A fleet holds B instances of one geometry in struct-of-arrays form:
 // every piece of per-switch state becomes a flat lane indexed by
-// instance. Occupancy masks are uint64 words (voq[k*n+i] is instance k's
-// non-empty-VOQ mask for input i), queue contents are flat power-of-two
+// instance. Occupancy rows are spans of uint64 words — wn words for an
+// input-indexed row, wm for an output-indexed one, fixed at construction
+// from the geometry (voq[(k*n+i)*wm+w] is word w of instance k's
+// non-empty-VOQ row for input i) — queue contents are flat power-of-two
 // rings of (value, arrival) pairs — plus a parallel ID lane in the
 // weighted family, where rings are kept in ByValue order and admissions
 // and transfers may preempt the ring minimum — and the per-slot metric
@@ -20,15 +22,19 @@
 // lanes. The per-slot loop therefore touches dense arrays with no pointer
 // chasing, no interface dispatch per queue operation, and no allocation —
 // the zero-allocs-per-batched-slot invariant is pinned by alloc_test.go
-// for the unit, weighted and wide engines alike.
+// for the unit and weighted kernels at one-word and multi-word widths.
 //
-// Two engine widths share this design. The narrow engines (Inputs,
-// Outputs ≤ 64) keep every occupancy row in a single word. The wide
-// engines (65 ≤ ports ≤ 512) store each row as a multi-word
-// internal/bitset span behind row-accessor views, iterate them word by
-// word, and batch the weighted matchings through a counting-sort
-// bucketing shared across the batch; the narrow 1-word layout is
-// untouched. The runner picks the width per configuration.
+// One layout serves every width from 1 to 512 ports. The CIOQ and
+// crossbar fleets share one engine (admission, pass-through delivery,
+// transmission, quiescent jumps, retirement) and differ only in their
+// crosspoint lanes and kernels; each policy family has one kernel over
+// the span view. When every row is a single word (both sides ≤ 64
+// ports), chosen from the geometry at construction, the rotated row
+// searches of GM, RoundRobin and CGU and the greedy accept of PG keep
+// their masks in registers instead of calling the multi-word span
+// helpers; results are the same either way. Each of these one-word paths
+// is kept because forcing it off measurably slows its one-word benchmark
+// shape; everything else runs the span code at every width.
 //
 // # Lockstep windows and the active list
 //
@@ -61,8 +67,8 @@
 // matchings (greedy for PG/CPG, Hungarian for KRMWM), whose quiescent
 // drains are value-ordered but still policy-independent.
 //
-// Coverage matrix (policy × geometry; every ✓ is a batched kernel in
-// both the narrow ≤ 64-port and the wide 65–512-port engine):
+// Coverage matrix (policy × geometry; every ✓ is a batched kernel for
+// every geometry of 1 to 512 ports per side):
 //
 //	policy                    CIOQ   crossbar
 //	GM (all four edge orders)  ✓        —
@@ -77,7 +83,7 @@
 // exposes to policies — so fleet Metrics are reflect.DeepEqual to
 // per-instance switchsim runs, including latency histograms and per-slot
 // series. The differential suite, a fuzz target over batch size, weighted
-// tie-breaks, wide geometries and sequence shape, and the ratio-backend
+// tie-breaks, multi-word geometries and sequence shape, and the ratio-backend
 // determinism tests gate this the same way reference_test.go and
 // eventdriven_test.go gated PR 1–3.
 //

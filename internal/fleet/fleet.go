@@ -14,32 +14,21 @@ import (
 // runs instead of surfacing it.
 var ErrUnsupported = errors.New("fleet: not batchable")
 
-// maxPorts is the single-word engine's port limit: its occupancy rows are
-// single uint64 words. Geometries up to maxWidePorts ride the multi-word
-// wide engine instead of falling back to scalar.
-const maxPorts = 64
+// maxPorts is the columnar engines' port limit: it bounds the occupancy
+// rows at 8 words and keeps port indices within the PG kernel's 9-bit
+// packed-key fields. Larger geometries fall back to scalar runs.
+const maxPorts = 512
 
-// BatchableCIOQ reports whether the policy produced by factory rides a
+// BatchableCIOQ reports whether the policy produced by factory rides the
 // columnar engine for this configuration (it has a batched kernel and the
-// geometry fits the wide engine's rows). The narrow and wide kernel
-// tables cover the same policy families, so one predicate serves both.
+// geometry is within maxPorts).
 func BatchableCIOQ(cfg switchsim.Config, factory func() switchsim.CIOQPolicy) bool {
-	return cioqKernelFor(factory()) != nil && cfg.Inputs <= maxWidePorts && cfg.Outputs <= maxWidePorts
+	return cioqKernelFor(factory()) != nil && cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts
 }
 
 // BatchableCrossbar is BatchableCIOQ for crossbar policies.
 func BatchableCrossbar(cfg switchsim.Config, factory func() switchsim.CrossbarPolicy) bool {
-	return crossbarKernelFor(factory()) != nil && cfg.Inputs <= maxWidePorts && cfg.Outputs <= maxWidePorts
-}
-
-// fleetEngine is the runner-facing surface shared by the single-word and
-// wide engines of each switch type.
-type fleetEngine interface {
-	Reset(seqs []packet.Sequence) error
-	Step() bool
-	Results() ([]*switchsim.Result, error)
-	batchCap() int
-	passes() int64
+	return crossbarKernelFor(factory()) != nil && cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts
 }
 
 // RunCIOQ simulates the policy family produced by factory on every
@@ -68,7 +57,7 @@ func RunCrossbar(cfg switchsim.Config, factory func() switchsim.CrossbarPolicy, 
 type CIOQRunner struct {
 	factory func() switchsim.CIOQPolicy
 	cfg     switchsim.Config
-	f       fleetEngine
+	f       *CIOQFleet
 }
 
 // NewCIOQRunner creates a runner for the policy family produced by
@@ -85,55 +74,25 @@ func (r *CIOQRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*switc
 		return nil, nil
 	}
 	if !BatchableCIOQ(cfg, r.factory) {
-		out := make([]*switchsim.Result, len(seqs))
-		for k, seq := range seqs {
-			res, err := switchsim.RunCIOQ(cfg, r.factory(), seq)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = res
-		}
-		fleetProbes.Load().RecordFallback(int64(len(seqs)))
-		return out, nil
+		return runScalar(seqs, func(seq packet.Sequence) (*switchsim.Result, error) {
+			return switchsim.RunCIOQ(cfg, r.factory(), seq)
+		})
 	}
-	if r.f == nil || r.cfg != cfg || r.f.batchCap() < len(seqs) {
-		var f fleetEngine
-		var err error
-		if cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts {
-			f, err = NewCIOQFleet(cfg, r.factory, len(seqs))
-		} else {
-			f, err = newWideCIOQFleet(cfg, r.factory, len(seqs))
-		}
+	if r.f == nil || r.cfg != cfg || r.f.batch < len(seqs) {
+		f, err := NewCIOQFleet(cfg, r.factory, len(seqs))
 		if err != nil {
 			return nil, err
 		}
 		r.f, r.cfg = f, cfg
 	}
-	if err := r.f.Reset(seqs); err != nil {
-		return nil, err
-	}
-	passBefore := r.f.passes()
-	for r.f.Step() {
-	}
-	out, err := r.f.Results()
-	if err != nil {
-		return nil, err
-	}
-	if p := fleetProbes.Load(); p != nil {
-		var slots int64
-		for _, res := range out {
-			slots += int64(res.Slots)
-		}
-		p.RecordKernel(int64(len(seqs)), slots, r.f.passes()-passBefore)
-	}
-	return out, nil
+	return r.f.run(seqs)
 }
 
 // CrossbarRunner is CIOQRunner for buffered-crossbar policy families.
 type CrossbarRunner struct {
 	factory func() switchsim.CrossbarPolicy
 	cfg     switchsim.Config
-	f       fleetEngine
+	f       *CrossbarFleet
 }
 
 // NewCrossbarRunner creates a runner for the policy family produced by
@@ -150,47 +109,32 @@ func (r *CrossbarRunner) Run(cfg switchsim.Config, seqs []packet.Sequence) ([]*s
 		return nil, nil
 	}
 	if !BatchableCrossbar(cfg, r.factory) {
-		out := make([]*switchsim.Result, len(seqs))
-		for k, seq := range seqs {
-			res, err := switchsim.RunCrossbar(cfg, r.factory(), seq)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = res
-		}
-		fleetProbes.Load().RecordFallback(int64(len(seqs)))
-		return out, nil
+		return runScalar(seqs, func(seq packet.Sequence) (*switchsim.Result, error) {
+			return switchsim.RunCrossbar(cfg, r.factory(), seq)
+		})
 	}
-	if r.f == nil || r.cfg != cfg || r.f.batchCap() < len(seqs) {
-		var f fleetEngine
-		var err error
-		if cfg.Inputs <= maxPorts && cfg.Outputs <= maxPorts {
-			f, err = NewCrossbarFleet(cfg, r.factory, len(seqs))
-		} else {
-			f, err = newWideCrossbarFleet(cfg, r.factory, len(seqs))
-		}
+	if r.f == nil || r.cfg != cfg || r.f.batch < len(seqs) {
+		f, err := NewCrossbarFleet(cfg, r.factory, len(seqs))
 		if err != nil {
 			return nil, err
 		}
 		r.f, r.cfg = f, cfg
 	}
-	if err := r.f.Reset(seqs); err != nil {
-		return nil, err
-	}
-	passBefore := r.f.passes()
-	for r.f.Step() {
-	}
-	out, err := r.f.Results()
-	if err != nil {
-		return nil, err
-	}
-	if p := fleetProbes.Load(); p != nil {
-		var slots int64
-		for _, res := range out {
-			slots += int64(res.Slots)
+	return r.f.run(seqs)
+}
+
+// runScalar is the runners' fallback: one scalar run per sequence,
+// tallied on the fleet probes.
+func runScalar(seqs []packet.Sequence, run func(packet.Sequence) (*switchsim.Result, error)) ([]*switchsim.Result, error) {
+	out := make([]*switchsim.Result, len(seqs))
+	for k, seq := range seqs {
+		res, err := run(seq)
+		if err != nil {
+			return nil, err
 		}
-		p.RecordKernel(int64(len(seqs)), slots, r.f.passes()-passBefore)
+		out[k] = res
 	}
+	fleetProbes.Load().RecordFallback(int64(len(seqs)))
 	return out, nil
 }
 
@@ -254,27 +198,18 @@ func sleepPop(h []sleeper) ([]sleeper, sleeper) {
 	return h, top
 }
 
-// firstFrom returns the smallest set bit of w in rotated order starting
-// at `start` (the smallest bit >= start if any, else the smallest bit
-// overall), or -1 when w is zero. It is bitset.Mask.FirstFrom specialized
-// to the fleet's single-word masks; start must be in [0, 64).
-func firstFrom(w uint64, start int) int {
+// wordFirstFrom is bitset.Mask.FirstFrom on a one-word row: the
+// smallest set bit of w at or after start, else the smallest overall, or
+// -1 when w is zero. start must be in [0, 64).
+func wordFirstFrom(w uint64, start int) int {
 	lowMask := uint64(1)<<uint(start) - 1
 	if x := w &^ lowMask; x != 0 {
 		return bits.TrailingZeros64(x)
 	}
-	if x := w & lowMask; x != 0 {
-		return bits.TrailingZeros64(x)
+	if w != 0 {
+		return bits.TrailingZeros64(w)
 	}
 	return -1
-}
-
-// allOnes returns the mask with bits [0, n) set; n in [1, 64].
-func allOnes(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return uint64(1)<<uint(n) - 1
 }
 
 // ceilPow2 returns the smallest power of two >= v.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 
+	"qswitch/internal/bitset"
 	"qswitch/internal/core"
 	"qswitch/internal/matching"
 	"qswitch/internal/switchsim"
@@ -95,7 +96,7 @@ func cpgParam(v, def float64) float64 {
 }
 
 // gmKernel is the batched GM (and NaiveFIFO) scheduler: a greedy maximal
-// matching over the eligibility words {voq row ∧ free outputs} in the
+// matching over the eligibility rows {voq row ∧ free outputs} in the
 // configured scan order. The Rotating order's tick counter is derived
 // from the clock — the scalar policy gains one tick per scheduling cycle
 // whether or not any queue is occupied, so ticks == slot*Speedup + cycle.
@@ -114,53 +115,78 @@ func (g *gmKernel) wantsVOQByOut() bool { return g.order == core.ColMajor }
 func (g *gmKernel) weighted() bool { return false }
 
 func (g *gmKernel) cycle(v *cioqView, slot, cycle int) {
+	f := v.f
 	n, m := v.n, v.m
 	switch g.order {
 	case core.ColMajor:
-		availIn := v.allIn
-		of := v.st.outFree
-		for j := 0; j < m; j++ {
-			if of&(1<<uint(j)) == 0 {
-				continue
-			}
-			if w := v.voqByOut[j] & availIn; w != 0 {
-				i := bits.TrailingZeros64(w)
-				availIn &^= 1 << uint(i)
-				v.transfer(i, j)
+		availIn := f.availIn
+		availIn.Fill(n)
+		for wdx, w := range v.outFree {
+			for ; w != 0; w &= w - 1 {
+				j := wdx<<6 | bits.TrailingZeros64(w)
+				if i := v.voqByOutRow(j).FirstAnd(availIn); i >= 0 {
+					availIn.Clear(i)
+					v.transfer(i, j)
+				}
 			}
 		}
 	case core.Rotating:
 		ticks := slot*v.speedup + cycle
 		oi, oj := ticks%n, ticks%m
-		avail := v.st.outFree
+		if v.narrow {
+			// One-word rows: keep the open-output mask in a register.
+			avail := v.outFree[0]
+			for di := 0; di < n; di++ {
+				i := (oi + di) % n
+				if j := wordFirstFrom(v.voq[i]&avail, oj); j >= 0 {
+					avail &^= 1 << uint(j)
+					v.transfer(i, j)
+				}
+			}
+			return
+		}
+		avail := f.availOut
+		copy(avail, v.outFree)
 		for di := 0; di < n; di++ {
 			i := (oi + di) % n
-			if j := firstFrom(v.voq[i]&avail, oj); j >= 0 {
-				avail &^= 1 << uint(j)
+			if j := v.voqRow(i).FirstAndFrom(avail, oj); j >= 0 {
+				avail.Clear(j)
 				v.transfer(i, j)
 			}
 		}
 	case core.LongestFirst:
-		f := v.f
-		f.edges = f.edges[:0]
-		of := v.st.outFree
+		edges := f.edges[:0]
+		wm := v.wm
 		for i := 0; i < n; i++ {
-			w := v.voq[i] & of
-			for w != 0 {
-				j := bits.TrailingZeros64(w)
-				w &= w - 1
-				f.edges = append(f.edges, matching.Edge{U: i, V: j, W: int64(v.iqHdr[i*m+j].n)})
+			for wdx := 0; wdx < wm; wdx++ {
+				for w := v.voq[i*wm+wdx] & v.outFree[wdx]; w != 0; w &= w - 1 {
+					j := wdx<<6 | bits.TrailingZeros64(w)
+					edges = append(edges, matching.Edge{U: i, V: j, W: int64(v.iqHdr[i*m+j].n)})
+				}
 			}
 		}
-		for _, e := range f.sched.GreedyMaximalWeighted(n, m, f.edges) {
+		f.edges = edges
+		for _, e := range f.sched.GreedyMaximalWeighted(n, m, edges) {
 			v.transfer(e.U, e.V)
 		}
 	default: // core.RowMajor
-		avail := v.st.outFree
+		if v.narrow {
+			// One-word rows: keep the open-output mask in a register.
+			avail := v.outFree[0]
+			for i, w := range v.voq {
+				if w &= avail; w != 0 {
+					j := bits.TrailingZeros64(w)
+					avail &^= 1 << uint(j)
+					v.transfer(i, j)
+				}
+			}
+			return
+		}
+		avail := f.availOut
+		copy(avail, v.outFree)
 		for i := 0; i < n; i++ {
-			if w := v.voq[i] & avail; w != 0 {
-				j := bits.TrailingZeros64(w)
-				avail &^= 1 << uint(j)
+			if j := v.voqRow(i).FirstAnd(avail); j >= 0 {
+				avail.Clear(j)
 				v.transfer(i, j)
 			}
 		}
@@ -181,33 +207,42 @@ func (rrKernel) reset(f *CIOQFleet) {
 	if len(f.rrGrant) != f.batch*f.m {
 		f.rrGrant = make([]int32, f.batch*f.m)
 		f.rrAccept = make([]int32, f.batch*f.n)
-		f.grants = make([]uint64, f.n)
+		f.grants = make(bitset.Mask, f.n*f.wm)
 	}
 	clear(f.rrGrant)
 	clear(f.rrAccept)
 }
 
 func (rrKernel) cycle(v *cioqView, slot, cycle int) {
-	n, m := v.n, v.m
-	grants := v.f.grants[:n]
-	for i := range grants {
-		grants[i] = 0
-	}
+	n, m, wm := v.n, v.m, v.wm
+	grants := v.f.grants
+	grants.Zero()
 	// Grant: each open output grants the first requesting input at or
 	// after its grant pointer.
-	of := v.st.outFree
-	for j := 0; j < m; j++ {
-		if of&(1<<uint(j)) == 0 {
-			continue
-		}
-		if i := firstFrom(v.voqByOut[j], int(v.rrG[j])); i >= 0 {
-			grants[i] |= 1 << uint(j)
+	for wdx, w := range v.outFree {
+		for ; w != 0; w &= w - 1 {
+			j := wdx<<6 | bits.TrailingZeros64(w)
+			var i int
+			if v.narrow {
+				i = wordFirstFrom(v.voqByOut[j], int(v.rrG[j]))
+			} else {
+				i = v.voqByOutRow(j).FirstFrom(int(v.rrG[j]))
+			}
+			if i >= 0 {
+				grants[i*wm:].Set(j)
+			}
 		}
 	}
 	// Accept: each input accepts the first granting output at or after
 	// its accept pointer; pointers advance only on acceptance.
 	for i := 0; i < n; i++ {
-		if ch := firstFrom(grants[i], int(v.rrA[i])); ch >= 0 {
+		var ch int
+		if v.narrow {
+			ch = wordFirstFrom(grants[i], int(v.rrA[i]))
+		} else {
+			ch = grants[i*wm : (i+1)*wm].FirstFrom(int(v.rrA[i]))
+		}
+		if ch >= 0 {
 			v.transfer(i, ch)
 			v.rrA[i] = int32((ch + 1) % m)
 			v.rrG[ch] = int32((i + 1) % n)
@@ -241,6 +276,7 @@ func (g *pgKernel) reset(f *CIOQFleet) {
 		f.wsorted = make([]uint32, f.nm)
 		f.wcnt = make([]int32, pgFastMaxW+1)
 		f.wcntHi = 0
+		f.tails = make([]tail, f.m)
 	}
 }
 
@@ -256,59 +292,62 @@ func (g *pgKernel) cycle(v *cioqView, slot, cycle int) {
 }
 
 // fastCycle is the greedy-PG hot path: eligible VOQ-head edges are packed
-// into uint32 keys (weight<<12 | input<<6 | output, valid because narrow
-// ports fit 6 bits and the fast path requires weight <= pgFastMaxW), a
-// stable counting scatter by weight descending reproduces the scheduler's
-// contract order (weight desc, ties input asc then output asc — the
-// enumeration itself is (input, output)-ascending), and the greedy accept
-// runs on two uint64 used-port masks, executing each accepted transfer
-// immediately. Decisions are identical to the matching-package path;
-// reports false without transferring anything when a head value exceeds
-// the packed range, so the caller can rerun the generic path.
+// into uint32 keys (weight<<18 | input<<9 | output, valid because ports
+// fit 9 bits up to maxPorts and the fast path requires weight <=
+// pgFastMaxW, 12 bits), a stable counting scatter by weight descending
+// reproduces the scheduler's contract order (weight desc, ties input asc
+// then output asc — the enumeration itself is (input, output)-ascending),
+// and the greedy accept runs on two used-port masks, executing each
+// accepted transfer immediately. Decisions are identical to the
+// matching-package path; reports false without transferring anything
+// when a head value exceeds the packed range, so the caller can rerun the
+// generic path.
 func (g *pgKernel) fastCycle(v *cioqView) bool {
 	f := v.f
 	cnt := f.wcnt
 	clear(cnt[:f.wcntHi])
 	keys := f.wkeys[:0]
 	maxW := int32(0)
-	of := v.st.outFree
 	// A full output's tail value (and its beta multiple) is shared by
 	// every input's eligibility test, so hoist both out of the edge scan
-	// and compute them once per cycle.
-	var tailV [64]int64
-	var tailB [64]float64
-	for w := allOnes(v.m) &^ of; w != 0; w &= w - 1 {
-		j := bits.TrailingZeros64(w)
-		ho := &v.oqHdr[j]
-		tv := v.oq[j*v.ocap+int((ho.head+ho.n-1)&v.ocapM)].v
-		tailV[j] = tv
-		tailB[j] = g.beta * float64(tv)
+	// and compute them once per cycle. Full outputs are busy, so
+	// busy &^ free names exactly them.
+	tails := f.tails
+	for wdx, w := range v.outBusy {
+		for w &^= v.outFree[wdx]; w != 0; w &= w - 1 {
+			j := wdx<<6 | bits.TrailingZeros64(w)
+			ho := &v.oqHdr[j]
+			tv := v.oq[j*v.ocap+int((ho.head+ho.n-1)&v.ocapM)].v
+			tails[j] = tail{v: tv, b: g.beta * float64(tv)}
+		}
 	}
+	wm := v.wm
 	for i := 0; i < v.n; i++ {
-		w := v.voq[i]
-		for w != 0 {
-			j := bits.TrailingZeros64(w)
-			w &= w - 1
-			q := i*v.m + j
-			hv := v.iqHV[q]
-			if of&(1<<uint(j)) == 0 {
-				// beta >= 1, so hv <= tail already fails eligibility;
-				// the integer compare keeps the float math off the
-				// common rejected path.
-				if hv <= tailV[j] || float64(hv) <= tailB[j] {
-					continue
+		for wdx := 0; wdx < wm; wdx++ {
+			w, of := v.voq[i*wm+wdx], v.outFree[wdx]
+			for ; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				j := wdx<<6 | b
+				hv := v.iqHV[i*v.m+j]
+				if of&(1<<uint(b)) == 0 {
+					// beta >= 1, so hv <= tail already fails eligibility;
+					// the integer compare keeps the float math off the
+					// common rejected path.
+					if t := &tails[j]; hv <= t.v || float64(hv) <= t.b {
+						continue
+					}
 				}
+				if hv > pgFastMaxW {
+					// Out-of-range value: record the partially counted cnt
+					// range (the offending head was never counted) so the
+					// next clear wipes it.
+					f.wcntHi = maxW + 1
+					return false
+				}
+				cnt[hv]++
+				maxW = max(maxW, int32(hv))
+				keys = append(keys, uint32(hv)<<18|uint32(i)<<9|uint32(j))
 			}
-			if hv > pgFastMaxW {
-				// Out-of-range value: record the partially counted cnt
-				// range (the offending head was never counted) so the
-				// next clear wipes it.
-				f.wcntHi = maxW + 1
-				return false
-			}
-			cnt[hv]++
-			maxW = max(maxW, int32(hv))
-			keys = append(keys, uint32(hv)<<12|uint32(i)<<6|uint32(j))
 		}
 	}
 	f.wkeys = keys
@@ -325,18 +364,33 @@ func (g *pgKernel) fastCycle(v *cioqView) bool {
 	}
 	sorted := f.wsorted[:len(keys)]
 	for _, k := range keys {
-		w := k >> 12
+		w := k >> 18
 		sorted[cnt[w]] = k
 		cnt[w]++
 	}
-	var usedU, usedV uint64
+	if v.narrow {
+		// One-word rows: keep the used-port masks in registers.
+		var usedU, usedV uint64
+		for _, k := range sorted {
+			bi, bj := uint64(1)<<(k>>9&63), uint64(1)<<(k&63)
+			if usedU&bi == 0 && usedV&bj == 0 {
+				usedU |= bi
+				usedV |= bj
+				v.wtransfer(int(k>>9)&511, int(k)&511)
+			}
+		}
+		return true
+	}
+	// Used-port masks live on the stack, sized for maxPorts (the 9-bit
+	// key fields keep every word index below maxPorts/64).
+	var usedU, usedV [maxPorts / 64]uint64
 	for _, k := range sorted {
-		i := int(k>>6) & 63
-		j := int(k) & 63
-		bi, bj := uint64(1)<<uint(i), uint64(1)<<uint(j)
-		if usedU&bi == 0 && usedV&bj == 0 {
-			usedU |= bi
-			usedV |= bj
+		i := int(k>>9) & 511
+		j := int(k) & 511
+		bi, bj := uint64(1)<<uint(i&63), uint64(1)<<uint(j&63)
+		if usedU[i>>6]&bi == 0 && usedV[j>>6]&bj == 0 {
+			usedU[i>>6] |= bi
+			usedV[j>>6] |= bj
 			v.wtransfer(i, j)
 		}
 	}
@@ -350,22 +404,23 @@ func (g *pgKernel) fastCycle(v *cioqView) bool {
 func (g *pgKernel) genericCycle(v *cioqView) {
 	f := v.f
 	edges := f.edges[:0]
-	of := v.st.outFree
+	wm := v.wm
 	for i := 0; i < v.n; i++ {
-		w := v.voq[i]
-		for w != 0 {
-			j := bits.TrailingZeros64(w)
-			w &= w - 1
-			q := i*v.m + j
-			hv := v.iqHV[q]
-			if of&(1<<uint(j)) == 0 {
-				ho := &v.oqHdr[j]
-				tv := v.oq[j*v.ocap+int((ho.head+ho.n-1)&v.ocapM)].v
-				if float64(hv) <= g.beta*float64(tv) {
-					continue
+		for wdx := 0; wdx < wm; wdx++ {
+			w, of := v.voq[i*wm+wdx], v.outFree[wdx]
+			for ; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				j := wdx<<6 | b
+				hv := v.iqHV[i*v.m+j]
+				if of&(1<<uint(b)) == 0 {
+					ho := &v.oqHdr[j]
+					tv := v.oq[j*v.ocap+int((ho.head+ho.n-1)&v.ocapM)].v
+					if float64(hv) <= g.beta*float64(tv) {
+						continue
+					}
 				}
+				edges = append(edges, matching.Edge{U: i, V: j, W: hv})
 			}
-			edges = append(edges, matching.Edge{U: i, V: j, W: hv})
 		}
 	}
 	f.edges = edges
@@ -396,45 +451,47 @@ type cpgKernel struct {
 func (c *cpgKernel) weighted() bool { return true }
 
 func (c *cpgKernel) cycle(v *crossbarView, slot, cycle int) {
+	wm, wn := v.wm, v.wn
 	for i := 0; i < v.n; i++ {
-		w := v.voq[i]
-		xfree := v.xFree[i]
 		bestJ := -1
 		haveID := false
 		var bestV, bestID int64
-		for w != 0 {
-			j := bits.TrailingZeros64(w)
-			w &= w - 1
-			q := i*v.m + j
-			hv := v.iqHV[q]
-			if bestJ >= 0 && hv < bestV {
-				// A dominated head can never become the pick, eligible
-				// or not: skip the crosspoint-tail load and the beta
-				// comparison outright.
-				continue
-			}
-			if xfree&(1<<uint(j)) == 0 {
-				hx := &v.xqHdr[q]
-				tv := v.xq[q*v.xcap+int((hx.head+hx.n-1)&v.xcapM)].v
-				// beta >= 1: the integer compare rejects without the
-				// float math on the common path.
-				if hv <= tv || float64(hv) <= c.beta*float64(tv) {
+		for wdx := 0; wdx < wm; wdx++ {
+			w, xf := v.voq[i*wm+wdx], v.xFree[i*wm+wdx]
+			for ; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				j := wdx<<6 | b
+				q := i*v.m + j
+				hv := v.iqHV[q]
+				if bestJ >= 0 && hv < bestV {
+					// A dominated head can never become the pick, eligible
+					// or not: skip the crosspoint-tail load and the beta
+					// comparison outright.
 					continue
 				}
-			}
-			// Head IDs break value ties, so their (header, ring) load
-			// pairs are deferred until a tie actually happens.
-			if bestJ < 0 || hv > bestV {
-				bestJ, bestV = j, hv
-				haveID = false
-			} else {
-				if !haveID {
-					bq := i*v.m + bestJ
-					bestID = v.iqID[bq*v.icap+int(v.iqHdr[bq].head)]
-					haveID = true
+				if xf&(1<<uint(b)) == 0 {
+					hx := &v.xqHdr[q]
+					tv := v.xq[q*v.xcap+int((hx.head+hx.n-1)&v.xcapM)].v
+					// beta >= 1: the integer compare rejects without the
+					// float math on the common path.
+					if hv <= tv || float64(hv) <= c.beta*float64(tv) {
+						continue
+					}
 				}
-				if hid := v.iqID[q*v.icap+int(v.iqHdr[q].head)]; hid < bestID {
-					bestJ, bestID = j, hid
+				// Head IDs break value ties, so their (header, ring) load
+				// pairs are deferred until a tie actually happens.
+				if bestJ < 0 || hv > bestV {
+					bestJ, bestV = j, hv
+					haveID = false
+				} else {
+					if !haveID {
+						bq := i*v.m + bestJ
+						bestID = v.iqID[bq*v.icap+int(v.iqHdr[bq].head)]
+						haveID = true
+					}
+					if hid := v.iqID[q*v.icap+int(v.iqHdr[q].head)]; hid < bestID {
+						bestJ, bestID = j, hid
+					}
 				}
 			}
 		}
@@ -443,34 +500,34 @@ func (c *cpgKernel) cycle(v *crossbarView, slot, cycle int) {
 		}
 	}
 	for j := 0; j < v.m; j++ {
-		w := v.xBusyByOut[j]
 		bestI := -1
 		haveID := false
 		var bestV, bestID int64
-		for w != 0 {
-			i := bits.TrailingZeros64(w)
-			w &= w - 1
-			hv := v.xqHV[j*v.n+i] // transposed lane: sequential in i
-			if bestI < 0 || hv > bestV {
-				bestI, bestV = i, hv
-				haveID = false
-			} else if hv == bestV {
-				// Same lazy tie-break as the input subphase.
-				if !haveID {
-					bq := bestI*v.m + j
-					bestID = v.xqID[bq*v.xcap+int(v.xqHdr[bq].head)]
-					haveID = true
-				}
-				q := i*v.m + j
-				if hid := v.xqID[q*v.xcap+int(v.xqHdr[q].head)]; hid < bestID {
-					bestI, bestID = i, hid
+		for wdx := 0; wdx < wn; wdx++ {
+			for w := v.xBusyByOut[j*wn+wdx]; w != 0; w &= w - 1 {
+				i := wdx<<6 | bits.TrailingZeros64(w)
+				hv := v.xqHV[j*v.n+i] // transposed lane: sequential in i
+				if bestI < 0 || hv > bestV {
+					bestI, bestV = i, hv
+					haveID = false
+				} else if hv == bestV {
+					// Same lazy tie-break as the input subphase.
+					if !haveID {
+						bq := bestI*v.m + j
+						bestID = v.xqID[bq*v.xcap+int(v.xqHdr[bq].head)]
+						haveID = true
+					}
+					q := i*v.m + j
+					if hid := v.xqID[q*v.xcap+int(v.xqHdr[q].head)]; hid < bestID {
+						bestI, bestID = i, hid
+					}
 				}
 			}
 		}
 		if bestI < 0 {
 			continue
 		}
-		if v.st.outFree&(1<<uint(j)) == 0 {
+		if !v.outFree.Test(j) {
 			ho := &v.oqHdr[j]
 			tv := v.oq[j*v.ocap+int((ho.head+ho.n-1)&v.ocapM)].v
 			// alpha >= 1: same integer pre-reject as the input subphase.
@@ -500,16 +557,31 @@ func (c *cguKernel) cycle(v *crossbarView, slot, cycle int) {
 		startJ, startI = ticks%v.m, ticks%n
 	}
 	for i := 0; i < n; i++ {
-		if j := firstFrom(v.voq[i]&v.xFree[i], startJ); j >= 0 {
+		var j int
+		if v.narrow {
+			j = wordFirstFrom(v.voq[i]&v.xFree[i], startJ)
+		} else {
+			j = v.voqRow(i).FirstAndFrom(v.xFreeRow(i), startJ)
+		}
+		if j >= 0 {
 			v.inputTransfer(i, j)
 		}
 	}
-	ofw := v.st.outFree
-	for ofw != 0 {
-		j := bits.TrailingZeros64(ofw)
-		ofw &= ofw - 1
-		if i := firstFrom(v.xBusyByOut[j], startI); i >= 0 {
-			v.outputTransfer(i, j)
+	// Per open output, pull from the first non-empty crosspoint. An
+	// output's transfer only mutates its own outFree bit, so word copies
+	// are equivalent to a live scan.
+	for wdx, w := range v.outFree {
+		for ; w != 0; w &= w - 1 {
+			j := wdx<<6 | bits.TrailingZeros64(w)
+			var i int
+			if v.narrow {
+				i = wordFirstFrom(v.xBusyByOut[j], startI)
+			} else {
+				i = v.xBusyByOutRow(j).FirstFrom(startI)
+			}
+			if i >= 0 {
+				v.outputTransfer(i, j)
+			}
 		}
 	}
 }
